@@ -22,16 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bulk.concurrency import deliver_one_sided, wave_exchange
-from repro.core.ordering import (
-    SELECTION_RANDOM,
-    SELECTION_RANDOM_MISPLACED,
-)
+from repro.core.ordering import SELECTION_MAX_GAIN
 from repro.sharded.metrics import cross_shard_ranks
 from repro.vectorized import metrics as vmetrics
 from repro.vectorized.ordering import (
-    _max_gain_columns,
     _random_valid_column_from,
     _valid_slots,
+    select_partners,
 )
 from repro.vectorized.ranking import window_fold, window_push
 from repro.vectorized.sampler import _oldest_columns, _swap_views
@@ -285,35 +282,10 @@ def cmd_ord_select(
     live = ctx.cache["live"]
     if len(live) == 0:
         return {"props": 0, "intended": 0}
-    view = state.view_ids[live]
-    valid = _valid_slots(state, view)
-    safe = np.where(valid, view, 0)
-    a_self = state.attribute[live][:, None]
-    r_self = state.value[live][:, None]
-    a_peer = np.where(valid, state.attribute[safe], np.inf)
-    r_peer = np.where(valid, state.value[safe], np.inf)
-    misplaced = valid & ((a_peer - a_self) * (r_peer - r_self) < 0.0)
-
-    if selection == SELECTION_RANDOM:
-        rows = valid.any(axis=1)
-        cols = _random_valid_column_from(
-            valid, ctx.scratch["u1"][offset : offset + len(live)]
-        )
-        intended = misplaced[np.arange(len(live)), cols]
-    elif selection == SELECTION_RANDOM_MISPLACED:
-        rows = misplaced.any(axis=1)
-        cols = _random_valid_column_from(
-            misplaced, ctx.scratch["u1"][offset : offset + len(live)]
-        )
-        intended = rows.copy()
-    else:
-        rows = misplaced.any(axis=1)
-        cols = _max_gain_columns(live, view, valid, misplaced, state)
-        intended = rows.copy()
-
-    initiators = live[rows]
-    targets = view[np.arange(len(live)), cols][rows]
-    intended = intended[rows]
+    uniforms = None
+    if selection != SELECTION_MAX_GAIN:
+        uniforms = ctx.scratch["u1"][offset : offset + len(live)]
+    initiators, targets, intended = select_partners(state, live, selection, uniforms)
     ctx.scratch["prop_a"][ctx.lo : ctx.lo + len(initiators)] = initiators
     ctx.scratch["prop_b"][ctx.lo : ctx.lo + len(targets)] = targets
     ctx.scratch["prop_x"][ctx.lo : ctx.lo + len(intended)] = intended

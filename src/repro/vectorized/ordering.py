@@ -27,6 +27,8 @@ Section-4.5.2 concurrency regimes in batched form.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 from repro.bulk.concurrency import InlineExchangeApplier, run_exchanges
@@ -37,7 +39,7 @@ from repro.core.ordering import (
 )
 from repro.vectorized.state import EMPTY, ArrayState
 
-__all__ = ["ordering_round"]
+__all__ = ["ordering_round", "select_partners"]
 
 _SELECTIONS = (SELECTION_RANDOM, SELECTION_MAX_GAIN, SELECTION_RANDOM_MISPLACED)
 
@@ -71,10 +73,19 @@ def _random_valid_column_from(
     return np.argmax(cumulative > picks[:, None], axis=1)
 
 
-def _local_ranks(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+_NO_ID = np.iinfo(np.int64).max  # invalid slots: sorts after every id
+
+
+def _with_self(own: np.ndarray, peers: np.ndarray) -> np.ndarray:
+    """The view-plus-self item matrix: column 0 is the node itself,
+    columns 1.. its view slots."""
+    return np.concatenate([own[:, None], peers], axis=1)
+
+
+def _ranks_by_id(keys: np.ndarray, by_id: np.ndarray) -> np.ndarray:
     """Per-row 0-based ranks of ``keys`` with ties broken by id —
-    the batched twin of ``ordering.local_sequences``."""
-    by_id = np.argsort(ids, axis=1, kind="stable")
+    the batched twin of ``ordering.local_sequences``.  ``by_id`` is each
+    row's stable argsort of its ids, shared by both local sequences."""
     keys_by_id = np.take_along_axis(keys, by_id, axis=1)
     by_key = np.argsort(keys_by_id, axis=1, kind="stable")
     order = np.take_along_axis(by_id, by_key, axis=1)
@@ -83,6 +94,71 @@ def _local_ranks(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
         ranks, order, np.broadcast_to(np.arange(keys.shape[1]), keys.shape), axis=1
     )
     return ranks
+
+
+def _max_gain_columns(
+    ids: np.ndarray, attr: np.ndarray, value: np.ndarray, misplaced: np.ndarray
+) -> np.ndarray:
+    """mod-JK partner selection: per row of view-plus-self items (from
+    :func:`_with_self`), the view column of the misplaced neighbor
+    maximizing Equation 2's score.  Invalid slots carry id ``_NO_ID``
+    and ``+inf`` keys, so they sort to the tail and valid items get the
+    local ranks the reference computes over the valid items alone.
+
+    On a gain tie this takes the *first view column* among the tied
+    neighbors; the reference engine (``OrderingProtocol``) takes the
+    *smallest id*.  The two agree whenever the maximum is unique.
+    """
+    by_id = np.argsort(ids, axis=1, kind="stable")
+    l_alpha = _ranks_by_id(attr, by_id)
+    l_rho = _ranks_by_id(value, by_id)
+    la_self, lr_self = l_alpha[:, :1], l_rho[:, :1]
+    la_peer, lr_peer = l_alpha[:, 1:], l_rho[:, 1:]
+    gain = la_self * lr_peer + la_peer * lr_self - la_peer * lr_peer
+    gain = np.where(misplaced, gain, -np.inf)
+    return np.argmax(gain, axis=1)
+
+
+def select_partners(
+    state: ArrayState,
+    live: np.ndarray,
+    selection: str,
+    uniforms: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partner selection of one ordering round: the single function
+    every bulk executor calls (the vectorized :func:`ordering_round`,
+    the sharded and distributed ``ord_select`` kernel).  ``uniforms``
+    holds one pre-drawn uniform per ``live`` row for the two random
+    policies.  Returns ``(initiators, targets, intended)``.  Max-gain
+    ranks only the rows that have a misplaced neighbor, so its cost
+    falls with the disorder.
+    """
+    view = state.view_ids[live]
+    valid = _valid_slots(state, view)
+    safe = np.where(valid, view, 0)
+    a_self = state.attribute[live]
+    r_self = state.value[live]
+    a_peer = np.where(valid, state.attribute[safe], np.inf)
+    r_peer = np.where(valid, state.value[safe], np.inf)
+    misplaced = valid & ((a_peer - a_self[:, None]) * (r_peer - r_self[:, None]) < 0.0)
+
+    if selection == SELECTION_RANDOM:
+        rows = np.flatnonzero(valid.any(axis=1))
+        cols = _random_valid_column_from(valid, uniforms)[rows]
+        intended = misplaced[rows, cols]
+    else:
+        rows = np.flatnonzero(misplaced.any(axis=1))
+        if selection == SELECTION_RANDOM_MISPLACED:
+            cols = _random_valid_column_from(misplaced, uniforms)[rows]
+        else:
+            cols = _max_gain_columns(
+                _with_self(live[rows], np.where(valid[rows], view[rows], _NO_ID)),
+                _with_self(a_self[rows], a_peer[rows]),
+                _with_self(r_self[rows], r_peer[rows]),
+                misplaced[rows],
+            )
+        intended = np.ones(len(rows), dtype=bool)
+    return live[rows], view[rows, cols], intended
 
 
 def ordering_round(
@@ -105,33 +181,10 @@ def ordering_round(
     live = state.live_ids()
     if len(live) < 2:
         return
-    view = state.view_ids[live]
-    valid = _valid_slots(state, view)
-    safe = np.where(valid, view, 0)
-    a_self = state.attribute[live][:, None]
-    r_self = state.value[live][:, None]
-    a_peer = np.where(valid, state.attribute[safe], np.inf)
-    r_peer = np.where(valid, state.value[safe], np.inf)
-    misplaced = valid & ((a_peer - a_self) * (r_peer - r_self) < 0.0)
-
-    if selection == SELECTION_RANDOM:
-        rows = valid.any(axis=1)
-        cols = _random_valid_column_from(valid, plan.ordering_uniforms(len(live)))
-        intended = misplaced[np.arange(len(live)), cols]
-    elif selection == SELECTION_RANDOM_MISPLACED:
-        rows = misplaced.any(axis=1)
-        cols = _random_valid_column_from(
-            misplaced, plan.ordering_uniforms(len(live))
-        )
-        intended = rows.copy()
-    else:
-        rows = misplaced.any(axis=1)
-        cols = _max_gain_columns(live, view, valid, misplaced, state)
-        intended = rows.copy()
-
-    initiators = live[rows]
-    targets = view[np.arange(len(live)), cols][rows]
-    intended = intended[rows]
+    uniforms = None
+    if selection != SELECTION_MAX_GAIN:
+        uniforms = plan.ordering_uniforms(len(live))
+    initiators, targets, intended = select_partners(state, live, selection, uniforms)
     if stats is not None:
         stats.note_round(
             messages=2 * len(initiators), intended=int(intended.sum())
@@ -148,43 +201,3 @@ def ordering_round(
         queue=queue,
         cycle=cycle,
     )
-
-
-def _max_gain_columns(
-    live: np.ndarray,
-    view: np.ndarray,
-    valid: np.ndarray,
-    misplaced: np.ndarray,
-    state: ArrayState,
-) -> np.ndarray:
-    """mod-JK partner selection: per row, the misplaced neighbor
-    maximizing Equation 2's score over the view-plus-self items."""
-    n, c = view.shape
-    ids = np.concatenate([live[:, None], np.where(valid, view, EMPTY)], axis=1)
-    # Invalid slots sort to the tail of both local sequences (same
-    # +inf key in each), so valid items get the same local ranks the
-    # reference computes over the valid items alone.
-    attr = np.concatenate(
-        [
-            state.attribute[live][:, None],
-            np.where(valid, state.attribute[np.where(valid, view, 0)], np.inf),
-        ],
-        axis=1,
-    )
-    value = np.concatenate(
-        [
-            state.value[live][:, None],
-            np.where(valid, state.value[np.where(valid, view, 0)], np.inf),
-        ],
-        axis=1,
-    )
-    ids_for_ties = np.where(ids == EMPTY, np.iinfo(np.int64).max, ids)
-    l_alpha = _local_ranks(attr, ids_for_ties)
-    l_rho = _local_ranks(value, ids_for_ties)
-    la_self, lr_self = l_alpha[:, :1], l_rho[:, :1]
-    la_peer, lr_peer = l_alpha[:, 1:], l_rho[:, 1:]
-    gain = la_self * lr_peer + la_peer * lr_self - la_peer * lr_peer
-    gain = np.where(misplaced, gain, -np.inf)
-    return np.argmax(gain, axis=1)
-
-

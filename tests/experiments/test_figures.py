@@ -6,10 +6,15 @@ full-scale numbers live in the benchmarks; these tests guard the
 harness logic itself.
 """
 
+import math
+
 import pytest
 
+from repro.core.slices import SlicePartition
 from repro.experiments.figures import (
     ALL_FIGURES,
+    FLOOR_TRIALS,
+    _floor_note,
     run_fig4a,
     run_fig4b,
     run_fig4c,
@@ -21,6 +26,7 @@ from repro.experiments.figures import (
     run_lemma41,
     run_theorem51,
 )
+from repro.experiments.results import FigureResult
 
 SMALL = {"n": 300, "seed": 3}
 
@@ -31,6 +37,21 @@ class TestFig4a:
         assert result.scalars["final_gdm"] < result.series["gdm"].values[0] / 100
         assert result.scalars["final_sdm"] > 0
         assert result.scalars["realized_sdm_floor"] > 0
+
+
+class TestFloorNote:
+    def test_predicted_means_agree_across_seeds(self):
+        # fig4a's partition at its default n: two seeds' Monte-Carlo
+        # means must agree within 3 standard errors of their difference.
+        partition = SlicePartition.equal(100)
+        scalars = []
+        for seed in (0, 1):
+            result = FigureResult("fig4a", "floor note")
+            _floor_note(result, 1000, partition, seed)
+            scalars.append(result.scalars)
+        means = [s["predicted_sdm_floor_mean"] for s in scalars]
+        variance = sum(s["predicted_sdm_floor_std"] ** 2 for s in scalars)
+        assert abs(means[0] - means[1]) <= 3 * math.sqrt(variance / FLOOR_TRIALS)
 
 
 class TestFig4b:
